@@ -10,6 +10,11 @@ supports ``recompute()``, which re-runs the forward pass over the existing
 topology after leaf values change -- discrete choices baked into the graph
 (gather indices, concat layout) are frozen, which is exactly what the
 finite-difference checker needs.
+
+Besides elementwise and linear-algebra primitives, the tape has fused ops --
+a GRU step, an affine map, a cross-entropy term, a slice and a row stack --
+that each take one node and have a hand-derived backward pass, because the
+cost of a tape is per node, not per FLOP.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ def as_tensor(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("tensor contains NaN or Inf")
     return arr
 
@@ -77,15 +82,13 @@ def _fw_matmul(vals, aux):
     return vals[0] @ vals[1]
 
 
+def _sigmoid(x):
+    # tanh form: no exp overflow for large |x| and no sign branch
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
+
+
 def _fw_sigmoid(vals, aux):
-    # Branch on sign to avoid exp overflow for large |x|.
-    x = vals[0]
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _sigmoid(vals[0])
 
 
 def _fw_tanh(vals, aux):
@@ -128,11 +131,13 @@ def _fw_mean(vals, aux):
 
 
 def _fw_concat(vals, aux):
-    return np.concatenate([np.atleast_1d(v) for v in vals], axis=aux["axis"])
+    return np.concatenate([v if v.ndim else v.reshape(1) for v in vals], axis=aux["axis"])
 
 
-def _fw_gather_row(vals, aux):
-    return np.asarray(vals[0][aux["index"]])
+def _fw_take(vals, aux):
+    # gather_row (an int key) and slice (a slice key): rows of a matrix or
+    # entries of a vector, copied
+    return np.array(vals[0][aux["key"]])
 
 
 def _fw_scale(vals, aux):
@@ -143,6 +148,31 @@ def _fw_pairwise_l2(vals, aux):
     a, b = np.atleast_2d(vals[0]), np.atleast_2d(vals[1])
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _fw_gru(vals, aux):
+    x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = vals
+    z = _sigmoid(w_z @ x + u_z @ h + b_z)
+    r = _sigmoid(w_r @ x + u_r @ h + b_r)
+    rh = r * h
+    cand = np.tanh(w_h @ x + u_h @ rh + b_h)
+    aux["z"], aux["r"], aux["rh"], aux["cand"] = z, r, rh, cand
+    return h + z * (cand - h)
+
+
+def _fw_affine(vals, aux):
+    return vals[0] @ vals[1] + vals[2]
+
+
+def _fw_cross_entropy(vals, aux):
+    v = vals[0]
+    top = v.max()
+    # (top - v[t]) >= 0 and the log term >= 0, so the loss is never negative
+    return np.asarray((top - v[aux["target"]]) + np.log(np.exp(v - top).sum()))
+
+
+def _fw_stack(vals, aux):
+    return np.stack(vals)
 
 
 _FORWARD = {
@@ -160,15 +190,35 @@ _FORWARD = {
     "sum": _fw_sum,
     "mean": _fw_mean,
     "concat": _fw_concat,
-    "gather_row": _fw_gather_row,
+    "gather_row": _fw_take,
     "scale": _fw_scale,
     "pairwise_l2": _fw_pairwise_l2,
+    "gru": _fw_gru,
+    "affine": _fw_affine,
+    "cross_entropy": _fw_cross_entropy,
+    "slice": _fw_take,
+    "stack": _fw_stack,
 }
 
 # Distance gradients divide by the distance itself; floor the denominator so
 # coincident rows (exactly the collapse case the similarity penalty targets)
 # get a zero subgradient instead of 0/0.
 _L2_FLOOR = 1e-12
+
+
+class Outer:
+    """The gradient ``np.outer(left, right)`` of a weight matrix, not yet formed.
+
+    A weight shared by many steps gets one such term per step;
+    ``Graph.backward`` sums all of a leaf's terms in one matrix product
+    instead of forming and adding one outer product per step.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
 
 def _bw_add(node, vals, g):
@@ -232,21 +282,19 @@ def _bw_mean(node, vals, g):
 
 
 def _bw_concat(node, vals, g):
+    # concat only joins along axis 0; a scalar input takes one entry
     grads = []
     offset = 0
     for v in vals:
-        piece = np.atleast_1d(v)
-        size = piece.shape[node.aux["axis"]]
-        sl = [slice(None)] * piece.ndim
-        sl[node.aux["axis"]] = slice(offset, offset + size)
-        grads.append(g[tuple(sl)].reshape(v.shape))
+        size = v.shape[0] if v.ndim else 1
+        grads.append(g[offset:offset + size].reshape(v.shape))
         offset += size
     return tuple(grads)
 
 
-def _bw_gather_row(node, vals, g):
+def _bw_take(node, vals, g):
     out = np.zeros_like(vals[0])
-    out[node.aux["index"]] = g
+    out[node.aux["key"]] = g
     return (out,)
 
 
@@ -261,6 +309,39 @@ def _bw_pairwise_l2(node, vals, g):
     scaled = (g / denom)[:, :, None] * diff
     return (scaled.sum(axis=1).reshape(vals[0].shape),
             -scaled.sum(axis=0).reshape(vals[1].shape))
+
+
+def _bw_gru(node, vals, g):
+    x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = vals
+    z, r, rh, cand = node.aux["z"], node.aux["r"], node.aux["rh"], node.aux["cand"]
+    # gradients at the pre-activations of the update gate, reset gate and candidate
+    d_c = g * z * (1.0 - cand * cand)
+    d_z = g * (cand - h) * z * (1.0 - z)
+    d_rh = d_c @ u_h
+    d_r = d_rh * h * r * (1.0 - r)
+    d_x = d_z @ w_z + d_r @ w_r + d_c @ w_h
+    d_h = g * (1.0 - z) + d_rh * r + d_z @ u_z + d_r @ u_r
+    return (d_x, d_h,
+            Outer(d_z, x), Outer(d_z, h), d_z,
+            Outer(d_r, x), Outer(d_r, h), d_r,
+            Outer(d_c, x), Outer(d_c, rh), d_c)
+
+
+def _bw_affine(node, vals, g):
+    w, x, _ = vals
+    return (Outer(g, x), g @ w, g)
+
+
+def _bw_cross_entropy(node, vals, g):
+    v = vals[0]
+    e = np.exp(v - v.max())
+    grad = e / e.sum()
+    grad[node.aux["target"]] -= 1.0
+    return (grad * g,)
+
+
+def _bw_stack(node, vals, g):
+    return tuple(g)
 
 
 _BACKWARD = {
@@ -278,9 +359,14 @@ _BACKWARD = {
     "sum": _bw_sum,
     "mean": _bw_mean,
     "concat": _bw_concat,
-    "gather_row": _bw_gather_row,
+    "gather_row": _bw_take,
     "scale": _bw_scale,
     "pairwise_l2": _bw_pairwise_l2,
+    "gru": _bw_gru,
+    "affine": _bw_affine,
+    "cross_entropy": _bw_cross_entropy,
+    "slice": _bw_take,
+    "stack": _bw_stack,
 }
 
 
@@ -334,20 +420,14 @@ class Graph:
         return len(self.nodes) - 1
 
     def _push(self, kind: str, input_ids: tuple, aux=None) -> int:
-        vals = [self.nodes[i].value for i in input_ids]
+        nodes = self.nodes
+        vals = [nodes[i].value for i in input_ids]
         value = _FORWARD[kind](vals, aux)
         if _CHECK_EVERY_NODE and not np.all(np.isfinite(value)):
             raise DomainError(f"{kind}: produced non-finite values")
-        requires = any(self.nodes[i].requires_grad for i in input_ids)
-        self.nodes.append(Node(kind, input_ids, value, aux, requires))
-        return len(self.nodes) - 1
-
-    def primitive(self, kind: str, input_ids, **aux) -> int:
-        """Generic entry point; named methods below are the usual surface."""
-        method = getattr(self, kind, None)
-        if method is None or kind == "leaf":
-            raise ContractError(f"unknown primitive kind: {kind}")
-        return method(*input_ids, **aux)
+        requires = any(nodes[i].requires_grad for i in input_ids)
+        nodes.append(Node(kind, input_ids, value, aux, requires))
+        return len(nodes) - 1
 
     # -- ops ----------------------------------------------------------------
 
@@ -411,7 +491,7 @@ class Graph:
             raise DimensionError("gather_row: input must be a vector or matrix")
         if not 0 <= index < va.shape[0]:
             raise DimensionError(f"gather_row: index {index} out of range for {va.shape}")
-        return self._push("gather_row", (a,), {"index": int(index)})
+        return self._push("gather_row", (a,), {"key": int(index)})
 
     def scale(self, a: int, c: float) -> int:
         return self._push("scale", (a,), {"c": float(c)})
@@ -425,6 +505,56 @@ class Graph:
         if va.ndim not in (1, 2) or vb.ndim not in (1, 2) or va.shape[-1] != vb.shape[-1]:
             raise DimensionError(f"pairwise_l2: incompatible shapes {va.shape}, {vb.shape}")
         return self._push("pairwise_l2", (a, b))
+
+    # -- fused ops: one node each, with a hand-derived backward pass ----------
+
+    def gru(self, x: int, h: int, w_z: int, u_z: int, b_z: int, w_r: int, u_r: int,
+            b_r: int, w_h: int, u_h: int, b_h: int) -> int:
+        """One GRU step, h' = (1 - z) * h + z * tanh(W_h x + U_h (r * h) + b_h).
+
+        The gates z, r, the product r * h and the candidate are cached in the
+        node's aux for the backward pass (``recompute`` refreshes them).
+        """
+        inputs = (x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
+        shapes = [self.nodes[i].value.shape for i in inputs]
+        xs, hs = shapes[0], shapes[1]  # (input,), (hidden,)
+        if len(xs) != 1 or len(hs) != 1 or shapes[2:] != [hs + xs, hs + hs, hs] * 3:
+            raise DimensionError(f"gru: shapes {shapes} do not fit a GRU step")
+        return self._push("gru", inputs, {})
+
+    def affine(self, w: int, x: int, b: int) -> int:
+        """W @ x + b for a matrix W and vectors x, b."""
+        vw, vx, vb = self.value(w), self.value(x), self.value(b)
+        if vw.ndim != 2 or vx.shape != (vw.shape[1],) or vb.shape != (vw.shape[0],):
+            raise DimensionError(
+                f"affine: incompatible shapes {vw.shape} @ {vx.shape} + {vb.shape}")
+        return self._push("affine", (w, x, b))
+
+    def cross_entropy(self, logits: int, target: int) -> int:
+        """-log softmax(logits)[target] as a scalar, via log-sum-exp."""
+        v = self.value(logits)
+        if v.ndim != 1:
+            raise DimensionError("cross_entropy expects a logits vector")
+        if not 0 <= target < v.shape[0]:
+            raise ContractError(f"target class {target} out of range for {v.shape[0]} classes")
+        return self._push("cross_entropy", (logits,), {"target": int(target)})
+
+    def slice(self, a: int, start: int, stop: int) -> int:
+        """Rows ``start:stop`` of a matrix, or entries of a vector."""
+        va = self.value(a)
+        if va.ndim not in (1, 2) or not 0 <= start < stop <= va.shape[0]:
+            raise DimensionError(f"slice: [{start}:{stop}] out of range for {va.shape}")
+        return self._push("slice", (a,), {"key": slice(int(start), int(stop))})
+
+    def stack(self, rows) -> int:
+        """Matrix whose i-th row is the i-th of the given equal-length vectors."""
+        rows = tuple(rows)
+        if not rows:
+            raise ContractError("stack of zero rows")
+        shape = self.value(rows[0]).shape
+        if len(shape) != 1 or any(self.value(r).shape != shape for r in rows):
+            raise DimensionError("stack: rows must be vectors of one length")
+        return self._push("stack", rows)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -452,25 +582,46 @@ class Graph:
         return order
 
     def backward(self, loss: int) -> None:
-        """Fill .grad for every node the scalar loss depends on."""
-        if self.value(loss).size != 1:
-            raise ContractError(f"backward: loss must be scalar, got shape {self.value(loss).shape}")
-        for node in self.nodes:
-            node.grad = np.zeros_like(node.value) if node.requires_grad else None
-        top = self.nodes[loss]
-        if not top.requires_grad:
-            return  # loss does not depend on any parameter
-        top.grad = np.ones_like(top.value)
-        for nid in range(loss, -1, -1):
-            node = self.nodes[nid]
-            if node.kind == "leaf" or not node.requires_grad:
-                continue
-            vals = [self.nodes[i].value for i in node.inputs]
-            grads = _BACKWARD[node.kind](node, vals, node.grad)
-            for inp, g in zip(node.inputs, grads):
-                child = self.nodes[inp]
-                if child.requires_grad:
-                    child.grad = child.grad + g
+        """Fill .grad for every node that requires one; zero where the loss does not reach.
+
+        Nodes the loss does not reach are skipped.  A node's first incoming
+        gradient is stored as is and later ones are added out of place, so a
+        gradient array shared between nodes is never written to.  A leaf's
+        ``Outer`` terms are summed last, in one matrix product.
+        """
+        nodes = self.nodes
+        top = nodes[loss]
+        if top.value.size != 1:
+            raise ContractError(f"backward: loss must be scalar, got shape {top.value.shape}")
+        for node in nodes:
+            node.grad = None
+        if top.requires_grad:
+            top.grad = np.ones_like(top.value)
+            outers: dict[int, list[Outer]] = {}  # leaf id -> its deferred outer products
+            for nid in range(loss, -1, -1):
+                node = nodes[nid]
+                if node.grad is None or not node.inputs:
+                    continue
+                vals = [nodes[i].value for i in node.inputs]
+                grads = _BACKWARD[node.kind](node, vals, node.grad)
+                for inp, g in zip(node.inputs, grads):
+                    child = nodes[inp]
+                    if not child.requires_grad:
+                        continue
+                    if type(g) is Outer:
+                        if not child.inputs:
+                            outers.setdefault(inp, []).append(g)
+                            continue
+                        g = np.outer(g.left, g.right)
+                    child.grad = g if child.grad is None else child.grad + g
+            for inp, terms in outers.items():
+                left = np.array([t.left for t in terms])
+                total = left.T @ np.array([t.right for t in terms])
+                child = nodes[inp]
+                child.grad = total if child.grad is None else child.grad + total
+        for node in nodes:
+            if node.requires_grad and node.grad is None:
+                node.grad = np.zeros_like(node.value)
 
 
 def finite_difference_check(build, params, eps: float = 1e-3) -> float:

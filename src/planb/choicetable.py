@@ -46,9 +46,11 @@ def similarity_penalty(g: Graph, table: ChoiceTable, lam: float) -> int:
     """Negated, scaled sum of pairwise distances between thread outputs.
 
     Positions are aligned by step index; a position contributes for a thread
-    pair only where both threads emitted an action step.  Every unordered pair
-    is counted twice (the distance matrix is symmetric with zero diagonal) and
-    the total is scaled by -lambda / K^2.
+    pair only where both threads emitted an action step.  Per position, the
+    live threads' logits are stacked and softmaxed in one node and their full
+    distance matrix summed, which counts every unordered pair twice (the
+    matrix is symmetric with zero diagonal); the total is scaled by
+    -lambda / K^2.
     """
     if lam < 0:
         raise ContractError("similarity penalty weight must be >= 0")
@@ -56,26 +58,17 @@ def similarity_penalty(g: Graph, table: ChoiceTable, lam: float) -> int:
     if k <= 1:
         return g.leaf(np.asarray(0.0))
     emitted = [len(t.raw_duration_ids) for t in table.threads]
-    softmaxes: dict[tuple[int, int], int] = {}
-
-    def soft(ti: int, m: int) -> int:
-        if (ti, m) not in softmaxes:
-            softmaxes[(ti, m)] = g.softmax(table.threads[ti].action_logit_ids[m])
-        return softmaxes[(ti, m)]
-
-    terms = []
+    sums = []
     for m in range(max(emitted, default=0)):
-        live = [ti for ti in range(k) if emitted[ti] > m]
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                d = g.pairwise_l2(soft(live[a], m), soft(live[b], m))
-                terms.append(g.sum(d))
-    if not terms:
+        live = [t.action_logit_ids[m] for t, n in zip(table.threads, emitted) if n > m]
+        if len(live) < 2:
+            continue
+        probs = g.softmax(g.stack(live))
+        sums.append(g.sum(g.pairwise_l2(probs, probs)))
+    if not sums:
         return g.leaf(np.asarray(0.0))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = g.add(acc, t)
-    return g.scale(acc, -2.0 * lam / (k * k))
+    total = sums[0] if len(sums) == 1 else g.sum(g.concat(sums))
+    return g.scale(total, -lam / (k * k))
 
 
 def sample_rln_mask(k: int, n_max: int, phi: float, rng_seed: int) -> RlnMask:
@@ -110,7 +103,8 @@ def masked_mean(g: Graph, loss_lists: list[list[int]], mask_entries: np.ndarray)
 def masked_action_loss(g: Graph, table: ChoiceTable, gt_future_actions, mask: RlnMask,
                        eos: int) -> int:
     """Mean of mask-gated per-position action losses over all threads."""
-    loss_lists = [thread_action_loss(g, t, gt_future_actions, eos) for t in table.threads]
+    loss_lists = [thread_action_loss(g, t.action_logit_ids, gt_future_actions, eos)
+                  for t in table.threads]
     return masked_mean(g, loss_lists, mask.entries)
 
 

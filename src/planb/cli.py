@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,7 @@ def resolve_config(args) -> TrainConfig:
 
 def cmd_gen_data(args) -> int:
     grammar = datagen.GrammarSpec.from_json(Path(args.grammar).read_text())
+    dataio.check_fractions(args.alpha, args.beta)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("PLANB_SEED", "0"))
@@ -165,14 +167,21 @@ def cmd_gen_data(args) -> int:
     dataio.write_split(out / "splits" / "train.txt", train_ids)
     dataio.write_split(out / "splits" / "test.txt", test_ids)
 
+    skipped = 0
     for vid in test_ids:
-        inst = dataio.make_eval_instance(videos[vid], args.alpha, args.beta, vid)
+        try:
+            inst = dataio.make_eval_instance(videos[vid], args.alpha, args.beta, vid)
+        except DataError:
+            skipped += 1  # too short to split, so no oracle file
+            continue
         dist = datagen.enumerate_futures(grammar, inst.observed_segments,
                                          inst.horizon_frames,
                                          max_depth=args.oracle_max_depth)
         (out / "oracle" / f"{vid}.json").write_text(
             datagen.distribution_to_json(dist, grammar.actions,
                                          alpha=args.alpha, beta=args.beta) + "\n")
+    if skipped:
+        warnings.warn(f"skipped {skipped} video(s) too short to split", stacklevel=2)
 
     (out / "meta.json").write_text(json.dumps({
         "seed": seed, "numVideos": args.num_videos, "trainFrac": args.train_frac,

@@ -138,6 +138,7 @@ def encode(g: Graph, p: CrnnParams, features: np.ndarray,
     if features.ndim != 2 or features.shape[0] == 0:
         raise ContractError("encode requires a non-empty T x D feature matrix")
     T = features.shape[0]
+    frames = g.leaf(features)
     h_low = g.leaf(np.zeros_like(g.value(p.lower_encoder_gru.b_z)))
     h_up = g.leaf(np.zeros_like(g.value(p.upper_encoder_gru.b_z))) if p.collaborative else None
 
@@ -148,11 +149,9 @@ def encode(g: Graph, p: CrnnParams, features: np.ndarray,
     upper_step_frames: list[int] = []
 
     for t in range(T):
+        x = g.gather_row(frames, t)
         if p.collaborative:
-            x = g.concat([g.leaf(features[t]),
-                          nn.embed_row(g, p.action_embed_upper, prev_upper_action)])
-        else:
-            x = g.leaf(features[t])
+            x = g.concat([x, nn.embed_row(g, p.action_embed_upper, prev_upper_action)])
         h_low = nn.gru_step(g, p.lower_encoder_gru, x, h_low)
         logits = nn.linear(g, p.encoder_classifier_lower, h_low)
         frame_logit_ids.append(logits)
@@ -243,7 +242,6 @@ def decode_thread(g: Graph, p: CrnnParams, dec: DecoderParams, h_lower: int,
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
     n_logits = p.num_outputs
-    sel_logits = np.eye(n_logits, n_logits + 1)  # head output -> logits part
     total = num_steps if num_steps is not None else max_len
 
     h_low, h_up = h_lower, h_upper
@@ -262,9 +260,8 @@ def decode_thread(g: Graph, p: CrnnParams, dec: DecoderParams, h_lower: int,
         else:
             x = nn.embed_row(g, p.action_embed_lower, prev_lower)
         h_low = nn.gru_step(g, dec.lower_gru, x, h_low)
-        head_out = nn.linear(g, dec.head_lower, h_low)
-        logits = g.matmul(g.leaf(sel_logits), head_out)
-        raw_dur = g.gather_row(head_out, n_logits)
+        head_out = nn.linear(g, dec.head_lower, h_low)  # logits, then one raw duration
+        logits = g.slice(head_out, 0, n_logits)
         action_logit_ids.append(logits)
         a_m = int(np.argmax(g.value(logits)))
 
@@ -273,7 +270,7 @@ def decode_thread(g: Graph, p: CrnnParams, dec: DecoderParams, h_lower: int,
             break
         is_action_step = num_steps is None or m < num_steps - 1
         if is_action_step:
-            raw_duration_ids.append(raw_dur)
+            raw_duration_ids.append(g.gather_row(head_out, n_logits))
         if num_steps is None or a_m != p.eos:
             actions.append(a_m)
 
@@ -314,33 +311,22 @@ def _padded_targets(gt_actions, length: int, eos: int) -> list[int]:
     return [int(gt[m]) if m < len(gt) else eos for m in range(length)]
 
 
-def thread_action_loss(g: Graph, thread: DecodedThread, gt_future_actions, eos: int) -> list[int]:
-    """Per-position cross entropy of the thread's action logits vs ground truth.
+def thread_action_loss(g: Graph, logit_ids: list[int], gt_future_actions,
+                       eos: int) -> list[int]:
+    """Per-position cross entropy of one head's per-step logits vs ground truth.
 
-    The loss covers max(len(prediction logits), len(gt) + 1) positions: the
+    ``logit_ids`` is a thread's ``action_logit_ids`` or ``upper_logit_ids``;
+    an empty list (the upper head of a single-level model) gives no terms.
+    The loss covers max(len(logit_ids), len(gt) + 1) positions: the
     ground-truth tail is padded with EOS, and positions past the prediction's
     last step reuse its final (EOS-emitting) logits so early termination is
     penalized wherever the ground truth continues.  Returned unaggregated so
     the choice table can mask individual entries.
     """
-    n_positions = max(len(thread.action_logit_ids), len(gt_future_actions) + 1)
-    targets = _padded_targets(gt_future_actions, n_positions, eos)
-    losses = []
-    for m in range(n_positions):
-        logits = thread.action_logit_ids[min(m, len(thread.action_logit_ids) - 1)]
-        losses.append(nn.cross_entropy(g, logits, targets[m]))
-    return losses
-
-
-def thread_upper_action_loss(g: Graph, thread: DecodedThread, gt_future_actions,
-                             eos: int) -> list[int]:
-    """Per-position cross entropy of the upper head (empty when single-level)."""
-    if not thread.upper_logit_ids:
+    if not logit_ids:
         return []
-    n_positions = max(len(thread.upper_logit_ids), len(gt_future_actions) + 1)
+    n_positions = max(len(logit_ids), len(gt_future_actions) + 1)
     targets = _padded_targets(gt_future_actions, n_positions, eos)
-    losses = []
-    for m in range(n_positions):
-        logits = thread.upper_logit_ids[min(m, len(thread.upper_logit_ids) - 1)]
-        losses.append(nn.cross_entropy(g, logits, targets[m]))
-    return losses
+    last = len(logit_ids) - 1
+    return [nn.cross_entropy(g, logit_ids[min(m, last)], targets[m])
+            for m in range(n_positions)]

@@ -336,7 +336,7 @@ def distribution_to_json(dist: FutureDistribution, action_names: list[str],
             }
             for e in dist.entries
         ],
-    }, indent=2)
+    })
 
 
 def distribution_from_json(text: str, action_names: list[str]) -> FutureDistribution:

@@ -217,6 +217,12 @@ class EvalInstance:
         return int(self.observed_labels[-1])
 
 
+def check_fractions(alpha: float, beta: float) -> None:
+    """Observed and predicted fractions must lie in (0, 1) and sum to at most 1."""
+    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0 and alpha + beta <= 1.0):
+        raise DataError(f"invalid observation/prediction fractions ({alpha}, {beta})")
+
+
 def make_eval_instance(video: VideoSample, alpha: float, beta: float,
                        video_id: str = "") -> EvalInstance:
     """Split a video into an observed prefix and a ground-truth horizon.
@@ -225,8 +231,7 @@ def make_eval_instance(video: VideoSample, alpha: float, beta: float,
     segment is the remainder of whatever action straddles the observation
     boundary; relative durations are normalized over the horizon.
     """
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0 and alpha + beta <= 1.0):
-        raise DataError(f"invalid observation/prediction fractions ({alpha}, {beta})")
+    check_fractions(alpha, beta)
     t = len(video.frame_labels)
     if t < 10:
         raise DataError(f"video too short to split: {t} frames")

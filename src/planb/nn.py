@@ -10,6 +10,7 @@ the named arrays for the optimizer.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -188,16 +189,12 @@ def _walk_aligned(params, bound, prefix: str, out: dict):
 
 
 def gru_step(g: Graph, p: GruParams, x: int, h: int) -> int:
-    """One GRU step: h' = (1-z) * h + z * candidate."""
-    z = g.sigmoid(g.add(g.add(g.matmul(p.w_z, x), g.matmul(p.u_z, h)), p.b_z))
-    r = g.sigmoid(g.add(g.add(g.matmul(p.w_r, x), g.matmul(p.u_r, h)), p.b_r))
-    cand = g.tanh(g.add(g.add(g.matmul(p.w_h, x), g.matmul(p.u_h, g.mul(r, h))), p.b_h))
-    one = g.leaf(np.ones_like(g.value(h)))
-    return g.add(g.mul(g.sub(one, z), h), g.mul(z, cand))
+    """One GRU step: h' = (1-z) * h + z * candidate, as one tape node."""
+    return g.gru(x, h, p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h)
 
 
 def linear(g: Graph, p: LinearParams, x: int) -> int:
-    return g.add(g.matmul(p.weight, x), p.bias)
+    return g.affine(p.weight, x, p.bias)
 
 
 def embed_row(g: Graph, table: EmbeddingTable, index: int) -> int:
@@ -207,15 +204,7 @@ def embed_row(g: Graph, table: EmbeddingTable, index: int) -> int:
 
 def cross_entropy(g: Graph, logits: int, target_class: int) -> int:
     """-log softmax(logits)[target], computed via log-sum-exp for stability."""
-    v = g.value(logits)
-    if v.ndim != 1:
-        raise DimensionError("cross_entropy expects a logits vector")
-    if not 0 <= target_class < v.shape[0]:
-        raise ContractError(f"target class {target_class} out of range for {v.shape[0]} classes")
-    shift = float(v.max())  # constant shift keeps exp bounded, gradient exact
-    shifted = g.sub(logits, g.leaf(np.full(v.shape, shift)))
-    lse = g.add(g.log(g.sum(g.exp(shifted))), g.leaf(np.asarray(shift)))
-    return g.sub(lse, g.gather_row(logits, target_class))
+    return g.cross_entropy(logits, target_class)
 
 
 def time_loss(g: Graph, predicted_rel: list[int], ground_truth_rel: np.ndarray) -> int:
@@ -227,26 +216,21 @@ def time_loss(g: Graph, predicted_rel: list[int], ground_truth_rel: np.ndarray) 
     aligned positions.
     """
     gt = np.asarray(ground_truth_rel, dtype=np.float64)
-    pieces = []
-    total = 0
+    preds = []
+    targets = []
     for rel in predicted_rel:
-        n = min(g.value(rel).shape[0], gt.shape[0])
+        length = g.value(rel).shape[0]
+        n = min(length, gt.shape[0])
         if n == 0:
             continue
-        pred = rel
-        if g.value(rel).shape[0] != n:
-            sel = np.eye(n, g.value(rel).shape[0])
-            pred = g.matmul(g.leaf(sel), rel)
-        diff = g.sub(pred, g.leaf(gt[:n]))
-        pieces.append(g.sum(g.square(diff)))
-        total += n
-    if total == 0:
+        preds.append(rel if length == n else g.slice(rel, 0, n))
+        targets.append(gt[:n])
+    if not preds:
         warnings.warn("time loss: empty alignment, returning 0", stacklevel=2)
         return g.leaf(np.asarray(0.0))
-    acc = pieces[0]
-    for p in pieces[1:]:
-        acc = g.add(acc, p)
-    return g.scale(acc, 1.0 / total)
+    target = np.concatenate(targets)
+    diff = g.sub(g.concat(preds), g.leaf(target))
+    return g.scale(g.sum(g.square(diff)), 1.0 / target.shape[0])
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -312,27 +296,40 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
         fh.write(checkpoint_bytes(named))
 
 
+def _unpack(blob: bytes, fmt: str, offset: int, what: str) -> tuple[tuple, int]:
+    """Read ``fmt`` at ``offset``; a read past the end is a ContractError."""
+    size = struct.calcsize(fmt)
+    if offset + size > len(blob):
+        raise ContractError(f"truncated checkpoint: {what} needs {size} bytes at offset "
+                            f"{offset}, file has {len(blob)}")
+    return struct.unpack_from(fmt, blob, offset), offset + size
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ContractError(f"not a checkpoint file: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    (version, count), offset = _unpack(blob, "<II", 4, "header")
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {version}")
-    offset = 12
     named: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
-        offset += 8 * rank
-        size = int(np.prod(shape)) if rank else 1
+        (name_len,), offset = _unpack(blob, "<I", offset, "name length")
+        (raw_name,), offset = _unpack(blob, f"<{name_len}s", offset, "array name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"checkpoint array name is not UTF-8: {raw_name!r}") from exc
+        (rank,), offset = _unpack(blob, "<I", offset, f"rank of {name}")
+        shape, offset = _unpack(blob, f"<{rank}Q", offset, f"shape of {name}")
+        size = math.prod(shape)
+        if 8 * size > len(blob) - offset:
+            raise ContractError(f"truncated checkpoint: {name} {shape} needs {8 * size} "
+                                f"bytes at offset {offset}, file has {len(blob)}")
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
         offset += 8 * size
         named[name] = arr.astype(np.float64)
+    if offset != len(blob):
+        raise ContractError(f"checkpoint has {len(blob) - offset} trailing bytes")
     return named

@@ -104,14 +104,8 @@ def _coerce(field_type, raw: str):
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
     """Flat key=value config; unknown keys are an error."""
     config = dataclasses.replace(base) if base else TrainConfig()
-    concrete = {"lambda_": float, "phi": float, "k_threads": int, "lr": float,
-                "lr_decay": float, "lr_decay_every": int, "epochs": int, "restarts": int,
-                "alpha": float, "beta": float, "hidden_dim_lower": int,
-                "hidden_dim_upper": int, "embed_dim": int, "feature_dim": int,
-                "seed": int, "teacher_forcing_start": float, "teacher_forcing_anneal": int,
-                "collaborative": bool, "shared_decoder_init": bool,
-                "downsample_factor": int, "restart_mode": str,
-                "validation_fraction": float, "label": str}
+    # every field has a default of its own type
+    concrete = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -199,7 +193,7 @@ def build_sample_loss(g: Graph, bound: crnn.CrnnParams, instance: EvalInstance,
 
     action = ct.masked_action_loss(g, table, gt_actions, mask, bound.eos)
     if bound.collaborative:
-        upper_lists = [crnn.thread_upper_action_loss(g, t, gt_actions, bound.eos)
+        upper_lists = [crnn.thread_action_loss(g, t.upper_logit_ids, gt_actions, bound.eos)
                        for t in threads]
         upper_terms.append(ct.masked_mean(g, upper_lists, mask.entries))
     time = nn.time_loss(g, [t.rel_durations_id for t in threads],

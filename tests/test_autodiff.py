@@ -116,15 +116,6 @@ def test_recompute_tracks_new_leaf_values():
     assert float(g.value(y)) == 25.0
 
 
-def test_primitive_dispatch():
-    g = Graph()
-    a = g.leaf([1.0, 2.0])
-    out = g.primitive("scale", (a,), c=3.0)
-    assert np.allclose(g.value(out), [3.0, 6.0])
-    with pytest.raises(ContractError):
-        g.primitive("leaf", ())
-
-
 # -- finite differences -----------------------------------------------------
 
 FD_TOL = 1e-4

@@ -142,7 +142,8 @@ def test_masked_loss_expectation_matches_phi():
         g, table, [0, 1], ct.RlnMask(np.ones((2, 3)), 1.0), eos=3)))
     phi = 0.9
     # expectation over mask draws, via the per-entry loss values
-    lists = [ct.thread_action_loss(g, t, [0, 1], 3) for t in table.threads]
+    lists = [ct.thread_action_loss(g, t.action_logit_ids, [0, 1], 3)
+             for t in table.threads]
     values = np.array([[float(g.value(n)) for n in row] for row in lists])
     total = 0.0
     draws = 10_000

@@ -76,6 +76,36 @@ def test_gen_data_zero_videos_still_valid(tmp_path):
     assert dataio.read_split(out / "splits" / "train.txt") == []
 
 
+def test_gen_data_skips_oracle_of_too_short_test_videos(tmp_path):
+    # a -> end half the time: videos of 4-6 frames, too short to split
+    grammar = datagen.GrammarSpec(
+        actions=["a", "b"], start_dist=[1.0, 0.0],
+        transitions=[[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+        duration_range=[(4, 6), (4, 6)], max_video_len=40,
+    ).validate()
+    out = tmp_path / "ds"
+    with pytest.warns(UserWarning, match="too short to split"):
+        code = main(["gen-data", "--grammar", str(write_grammar(tmp_path, grammar)),
+                     "--out", str(out), "--num-videos", "10", "--seed", "0"])
+    assert code == 0
+    assert (out / "meta.json").is_file()
+    test_ids = dataio.read_split(out / "splits" / "test.txt")
+    oracle_ids = {p.stem for p in (out / "oracle").glob("*.json")}
+    assert oracle_ids < set(test_ids)
+    for vid in test_ids:
+        frames = len((out / "groundTruth" / f"{vid}.txt").read_text().splitlines())
+        assert (vid in oracle_ids) == (frames >= 10)
+
+
+def test_gen_data_rejects_bad_fractions_before_writing(tmp_path, capsys):
+    out = tmp_path / "ds"
+    code = main(gen_args(write_grammar(tmp_path, chain_grammar_3()), out,
+                         extra=("--alpha", "0.7", "--beta", "0.5")))
+    assert code == 2
+    assert "invalid observation/prediction fractions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_ds")
@@ -220,3 +250,15 @@ def test_help_lists_all_flags(capsys):
         text = capsys.readouterr().out
         for flag in flags:
             assert flag in text, (command, flag)
+
+
+def test_eval_truncated_checkpoint_exits_two(dataset_dir, run_dir, tmp_path, capsys):
+    blob = (run_dir / "model.ckpt").read_bytes()
+    for cut in (3, 12, 20, len(blob) // 2, len(blob) - 1):
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(blob[:cut])
+        code = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 2, cut
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err

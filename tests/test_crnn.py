@@ -162,7 +162,7 @@ def test_thread_action_loss_uniform_logits():
     g = Graph()
     rows = [np.zeros(4)] * 3  # 2 actions + EOS step, C+1 = 4
     t = _thread_with_logits(g, rows, 2)
-    losses = crnn.thread_action_loss(g, t, [0, 1], eos=3)
+    losses = crnn.thread_action_loss(g, t.action_logit_ids, [0, 1], eos=3)
     assert len(losses) == max(2 + 1, 2 + 1)
     for lid in losses:
         assert np.isclose(float(g.value(lid)), np.log(4.0))
@@ -173,7 +173,7 @@ def test_thread_action_loss_exact_match_near_zero():
     big = 200.0
     rows = [np.array([big, 0, 0, 0]), np.array([0, big, 0, 0]), np.array([0, 0, 0, big])]
     t = _thread_with_logits(g, rows, 2)
-    losses = crnn.thread_action_loss(g, t, [0, 1], eos=3)
+    losses = crnn.thread_action_loss(g, t.action_logit_ids, [0, 1], eos=3)
     for lid in losses:
         assert float(g.value(lid)) < 1e-9
 
@@ -182,7 +182,7 @@ def test_thread_action_loss_pads_short_prediction():
     g = Graph()
     rows = [np.array([5.0, 0, 0, 0]), np.array([0, 0, 0, 5.0])]  # action then EOS
     t = _thread_with_logits(g, rows, 1)
-    losses = crnn.thread_action_loss(g, t, [0, 1, 2], eos=3)
+    losses = crnn.thread_action_loss(g, t.action_logit_ids, [0, 1, 2], eos=3)
     assert len(losses) == 4  # max(len(pred) + 1, len(gt) + 1)
     # positions past the prediction reuse the final EOS logits and stay penalized
     assert float(g.value(losses[1])) > 1.0
@@ -201,7 +201,8 @@ def test_encoder_decoder_gradients_pass_fd():
         up = crnn.encoder_upper_recognition_loss(g, enc, [0, 1])
         t = crnn.decode_thread(g, bound, bound.decoders[0], enc.h_lower, enc.h_upper,
                                max_len=5, num_steps=3, gt_actions=[0, 1])
-        act = g.mean(g.concat(crnn.thread_action_loss(g, t, [0, 1], bound.eos)))
+        act = g.mean(g.concat(
+            crnn.thread_action_loss(g, t.action_logit_ids, [0, 1], bound.eos)))
         tl = nn.time_loss(g, [t.rel_durations_id], np.array([0.4, 0.6]))
         return g.add(g.add(rec, up), g.add(act, tl))
 

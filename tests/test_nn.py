@@ -220,3 +220,35 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ContractError):
         nn.load_checkpoint(path)
+
+
+def test_checkpoint_truncated_at_every_offset_is_a_contract_error(tmp_path):
+    named = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2), "meta.n": np.asarray(4.0)}
+    blob = nn.checkpoint_bytes(named)
+    path = tmp_path / "cut.ckpt"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ContractError):
+            nn.load_checkpoint(path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ContractError, match="trailing"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_huge_rank_or_shape_is_a_contract_error(tmp_path):
+    good = nn.checkpoint_bytes({"w": np.zeros((2, 2))})
+    path = tmp_path / "huge.ckpt"
+    # rank of "w" at bytes 17-21, its first dimension at 21-29
+    for start, stop, value in ((17, 21, 2**32 - 1), (21, 29, 2**62)):
+        blob = bytearray(good)
+        blob[start:stop] = value.to_bytes(stop - start, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractError, match="truncated"):
+            nn.load_checkpoint(path)
+
+
+def test_checkpoint_empty_array_round_trips(tmp_path):
+    path = tmp_path / "empty.ckpt"
+    nn.save_checkpoint(path, {"e": np.zeros((0, 3)), "s": np.asarray(1.5)})
+    loaded = nn.load_checkpoint(path)
+    assert loaded["e"].shape == (0, 3) and float(loaded["s"]) == 1.5
